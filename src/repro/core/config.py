@@ -239,18 +239,6 @@ class CurpConfig:
     #: in ``MasterStats.gc_rpcs_saved``.
     gc_piggyback: bool = False
 
-    # -- protocol hot path (docs/PERFORMANCE.md) ------------------------
-    #: True = clients and masters run the callback fast path: the
-    #: 1 + f CURP fan-out goes through ``RpcTransport.call_cb`` into a
-    #: ``QuorumEvent`` and the master's update lifecycle runs
-    #: continuation-style, with no generator process or ``AllOf`` dict
-    #: per operation.  Virtual-time results are identical to the
-    #: generator path (same messages at the same instants); only the
-    #: within-instant dispatch sequence — and therefore
-    #: ``processed_events`` and wall-clock cost — changes.  False (the
-    #: default) keeps the PR 1 golden-trace dispatch order exactly.
-    fast_completion: bool = False
-
     #: True = transport-level frame coalescing: messages a host sends
     #: to one destination within one virtual instant are packed into a
     #: single NIC :class:`~repro.net.message.Frame` at the
@@ -263,7 +251,7 @@ class CurpConfig:
     #: commutative operations are exactly the ones safe to pack).
     #: Latency physics change per *frame* (tx_cost and wire latency are
     #: paid once per frame, not per message), so False (the default)
-    #: preserves the PR 1/PR 3 golden traces byte-for-byte; the
+    #: preserves the plain-message golden traces byte-for-byte; the
     #: coalesced path is pinned by its own golden trace.
     frame_coalescing: bool = False
 

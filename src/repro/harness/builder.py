@@ -310,6 +310,9 @@ def build_partitioned_cluster(partition_id: int,
                                         rx_cost=profile.coordinator.rx)
     coordinator = Coordinator(coordinator_host, network, config,
                               lease_duration=lease_duration)
+    # Clients of every partition reach the same masters, so their RIFL
+    # ids must not collide.
+    coordinator.lease_server.stripe(partition_id, n_partitions)
 
     owner_of: dict[int, int] = {}
     for p in range(n_partitions):

@@ -25,13 +25,25 @@ class LeaseServer:
     def __init__(self, sim: "Simulator", lease_duration: float = 1_000_000.0):
         self.sim = sim
         self.lease_duration = lease_duration
-        self._next_client_id = 0
+        self._next_client_id = 1
+        self._id_stride = 1
         self._expiry: dict[int, float] = {}
+
+    def stripe(self, index: int, count: int) -> None:
+        """Issue only ids ``index + 1 + k * count`` (k = 0, 1, ...).
+
+        ``count`` lease servers striped with distinct indexes share one
+        client-id space without talking to each other — the PDES
+        partitions' coordinators, whose clients all reach the same
+        masters, where RIFL keys completion records by client id.
+        """
+        self._next_client_id = index + 1
+        self._id_stride = count
 
     def register_client(self) -> int:
         """Allocate a new client id with a fresh lease."""
-        self._next_client_id += 1
         client_id = self._next_client_id
+        self._next_client_id += self._id_stride
         self._expiry[client_id] = self.sim.now + self.lease_duration
         return client_id
 

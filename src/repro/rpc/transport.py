@@ -188,9 +188,7 @@ class RpcTransport:
         Note the ordering difference from :meth:`call`: completions run
         at response *delivery* rather than one queue entry later, so
         within one virtual instant a ``call_cb`` continuation runs
-        before same-instant entries queued behind the delivery.  Code
-        that must reproduce the legacy dispatch sequence (the golden
-        trace) keeps using :meth:`call`.
+        before same-instant entries queued behind the delivery.
         """
         self._next_seq += 1
         seq = self._next_seq

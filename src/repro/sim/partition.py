@@ -29,19 +29,12 @@ Backends
 ``inline``
     every partition in the calling process/thread.  No parallelism —
     this is the determinism-test and debugging backend, and the
-    semantics reference for the others.
+    semantics reference for ``process``.
 ``process``
-    one ``multiprocessing`` worker per partition (fork server where
-    available, spawn otherwise).  Partition state is *built inside*
-    the worker by the picklable ``setup`` callable, so nothing but
-    commands and envelopes ever crosses the pipe.
-``subinterpreter``
-    one 3.12+ subinterpreter (PEP 684 per-interpreter GIL) per
-    partition, each served by a thread, commands pickled over OS
-    pipes.  Raises :class:`BackendUnavailable` on older interpreters.
-``auto``
-    ``process`` (subinterpreters remain opt-in while the stdlib API
-    is provisional).
+    the default: one ``multiprocessing`` worker per partition (fork
+    where available, spawn otherwise).  Partition state is *built
+    inside* the worker by the picklable ``setup`` callable, so nothing
+    but commands and envelopes ever crosses the pipe.
 
 Determinism: each partition's simulator owns its rng and its heap, the
 mailbox applies imports in a total order, and windows are fixed by
@@ -54,61 +47,24 @@ The driver contract: ``setup(partition_id, n_partitions, setup_args)``
 returns any object with ``sim`` and ``network`` attributes; extra
 methods on it (start workloads, snapshot counters, collect results)
 are invoked at barriers via :meth:`PartitionedSimulation.call` and
-must take/return picklable values for the out-of-process backends.
+must take/return picklable values for the process backend.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
-import os
-import pickle
-import struct
-import sys
-import threading
 import time
 import traceback
 import typing
-
-
-class BackendUnavailable(RuntimeError):
-    """The requested worker backend cannot run on this interpreter."""
 
 
 class PartitionError(RuntimeError):
     """A partition worker raised; carries the remote traceback."""
 
 
-def subinterpreters_supported() -> bool:
-    """True when this interpreter can host the subinterpreter backend
-    (3.12+ with the low-level interpreters module present)."""
-    if sys.version_info < (3, 12):
-        return False
-    return _interp_module() is not None
-
-
-def _interp_module():
-    try:  # 3.13+
-        import _interpreters
-        return _interpreters
-    except ImportError:
-        pass
-    try:  # 3.12
-        import _xxsubinterpreters
-        return _xxsubinterpreters
-    except ImportError:
-        return None
-
-
-def available_backends() -> tuple[str, ...]:
-    backends = ["inline", "process"]
-    if subinterpreters_supported():
-        backends.append("subinterpreter")
-    return tuple(backends)
-
-
 # ----------------------------------------------------------------------
-# the per-partition serve loop (shared by every out-of-process backend)
+# the per-partition serve loop (the process backend's worker side)
 # ----------------------------------------------------------------------
 def _serve(recv: typing.Callable[[], typing.Any],
            send: typing.Callable[[typing.Any], None]) -> None:
@@ -146,9 +102,8 @@ def _serve(recv: typing.Callable[[], typing.Any],
                 t0 = time.process_time()
                 if imports:
                     mailbox.apply(imports)
-                # A partition whose clock ran ahead (a driver call did
-                # local RPC work) skips the window; the runner resyncs
-                # the barrier to the max clock.
+                # A partition whose clock ran past the window's end (a
+                # driver call did local RPC work) sits the window out.
                 if window_end > sim.now:
                     sim.run(until=window_end)
                 busy += time.process_time() - t0
@@ -285,128 +240,6 @@ class _ProcessPartition:
 
 
 # ----------------------------------------------------------------------
-# backend: 3.12+ subinterpreters (per-interpreter GIL, PEP 684)
-# ----------------------------------------------------------------------
-_SUBINTERP_BOOTSTRAP = """\
-import os, sys
-sys.path[:0] = {path!r}
-from repro.sim.partition import _fd_serve
-_fd_serve({rfd}, {wfd})
-"""
-
-
-def _fd_send(wfile, obj) -> None:
-    blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    wfile.write(struct.pack("<Q", len(blob)))
-    wfile.write(blob)
-    wfile.flush()
-
-
-def _fd_recv(rfile):
-    header = rfile.read(8)
-    if len(header) < 8:
-        raise EOFError
-    (length,) = struct.unpack("<Q", header)
-    blob = rfile.read(length)
-    if len(blob) < length:
-        raise EOFError
-    return pickle.loads(blob)
-
-
-def _fd_serve(rfd: int, wfd: int) -> None:
-    """Entry point run *inside* a subinterpreter: serve the partition
-    protocol over a pair of pipe file descriptors."""
-    rfile = os.fdopen(rfd, "rb")
-    wfile = os.fdopen(wfd, "wb")
-    try:
-        _serve(lambda: _fd_recv(rfile), lambda obj: _fd_send(wfile, obj))
-    finally:
-        rfile.close()
-        wfile.close()
-
-
-class _SubinterpreterPartition:
-    """One partition on a dedicated subinterpreter.
-
-    The interpreter runs :func:`_fd_serve` on a plain thread; with
-    per-interpreter GILs (3.12+) the partitions execute Python code in
-    true parallel inside one process.  Command traffic is pickled over
-    two OS pipes, exactly the process backend's protocol.
-    """
-
-    def __init__(self, setup, partition_id: int, n_partitions: int,
-                 setup_args):
-        interp = _interp_module()
-        if interp is None:  # pragma: no cover - guarded by caller
-            raise BackendUnavailable(
-                "subinterpreter backend needs Python 3.12+")
-        self.partition_id = partition_id
-        self.busy = 0.0
-        self._interp = interp
-        self._interp_id = interp.create()
-        cmd_r, cmd_w = os.pipe()      # runner -> interpreter
-        reply_r, reply_w = os.pipe()  # interpreter -> runner
-        os.set_inheritable(cmd_r, True)
-        os.set_inheritable(reply_w, True)
-        self._wfile = os.fdopen(cmd_w, "wb")
-        self._rfile = os.fdopen(reply_r, "rb")
-        code = _SUBINTERP_BOOTSTRAP.format(
-            path=[p for p in sys.path if p], rfd=cmd_r, wfd=reply_w)
-        self._thread = threading.Thread(
-            target=self._run_interp, args=(code,),
-            name=f"sim-partition-{partition_id}", daemon=True)
-        self._thread.start()
-        _fd_send(self._wfile, ("init", setup, partition_id, n_partitions,
-                               setup_args))
-        reply = self._recv()
-        self.min_latency = reply[1]
-        self.busy = reply[2]
-        self.clock = reply[3]
-
-    def _run_interp(self, code: str) -> None:
-        # run_string blocks this thread for the worker's lifetime; the
-        # subinterpreter owns its own GIL, so the main interpreter (and
-        # the other partitions) keep running.
-        self._interp.run_string(self._interp_id, code)
-
-    def _recv(self):
-        reply = _fd_recv(self._rfile)
-        if reply[0] == "err":
-            raise PartitionError(
-                f"partition {self.partition_id} subinterpreter failed:\n"
-                f"{reply[1]}")
-        return reply
-
-    def post_advance(self, window_end: float, imports: list) -> None:
-        _fd_send(self._wfile, ("advance", window_end, imports))
-
-    def post_call(self, name: str, args, kwargs) -> None:
-        _fd_send(self._wfile, ("call", name, args, kwargs))
-
-    def wait(self):
-        reply = self._recv()
-        _tag, result, exports, self.busy, self.clock = reply
-        return result, exports
-
-    def stop(self) -> None:
-        try:
-            _fd_send(self._wfile, ("stop",))
-            reply = _fd_recv(self._rfile)
-            if reply[0] == "bye":
-                self.busy = reply[1]
-        except (BrokenPipeError, EOFError, OSError):
-            pass
-        finally:
-            self._wfile.close()
-            self._rfile.close()
-            self._thread.join(timeout=5.0)
-            try:
-                self._interp.destroy(self._interp_id)
-            except Exception:  # pragma: no cover - already dead
-                pass
-
-
-# ----------------------------------------------------------------------
 # the runner
 # ----------------------------------------------------------------------
 class PartitionedSimulation:
@@ -419,7 +252,7 @@ class PartitionedSimulation:
         setup_args) -> driver`` where the driver exposes ``sim`` and
         ``network`` attributes (a :class:`~repro.harness.builder.
         Cluster` qualifies).  Runs once per partition, *inside* the
-        worker for out-of-process backends.
+        worker for the process backend.
     lookahead:
         conservative window length in µs.  ``None`` derives the bound
         from the latency models (min over partitions of
@@ -431,24 +264,17 @@ class PartitionedSimulation:
         degenerates to one plain ``sim.run`` per call, which is what
         keeps serial golden traces byte-identical.
     backend:
-        ``"inline"``, ``"process"``, ``"subinterpreter"`` or
-        ``"auto"`` (= process).
+        ``"inline"`` or ``"process"``.
     """
 
     def __init__(self, setup, n_partitions: int, *,
                  setup_args: typing.Any = None,
                  lookahead: float | None = None,
-                 backend: str = "auto"):
+                 backend: str = "process"):
         if n_partitions < 1:
             raise ValueError(f"n_partitions must be >= 1: {n_partitions}")
-        if backend == "auto":
-            backend = "process"
-        if backend not in ("inline", "process", "subinterpreter"):
+        if backend not in ("inline", "process"):
             raise ValueError(f"unknown backend: {backend!r}")
-        if backend == "subinterpreter" and not subinterpreters_supported():
-            raise BackendUnavailable(
-                "subinterpreter backend needs Python 3.12+ with the "
-                "low-level interpreters module; use backend='process'")
         self.n_partitions = n_partitions
         self.backend = backend
         self.now = 0.0
@@ -459,18 +285,14 @@ class PartitionedSimulation:
             self._parts: list = [
                 _InlinePartition(setup, pid, n_partitions, setup_args)
                 for pid in range(n_partitions)]
-        elif backend == "process":
+        else:
             ctx = self._mp_context()
             self._parts = [
                 _ProcessPartition(ctx, setup, pid, n_partitions, setup_args)
                 for pid in range(n_partitions)]
-        else:
-            self._parts = [
-                _SubinterpreterPartition(setup, pid, n_partitions,
-                                         setup_args)
-                for pid in range(n_partitions)]
         # Setup may do local RPC work (client connects) that advances a
-        # partition's clock; the first barrier starts at the max.
+        # partition's clock; ``now`` is the latest clock, and windows
+        # start from the earliest (see advance).
         self.now = max(part.clock for part in self._parts)
         if n_partitions == 1:
             self.lookahead = math.inf
@@ -504,19 +326,25 @@ class PartitionedSimulation:
     def advance(self, until: float) -> None:
         """Run every partition to virtual time ``until``.
 
-        Chops ``[now, until]`` into lookahead-sized windows with a
-        barrier (outbox exchange) between each.  After the last window
-        any envelope due exactly at ``until`` is delivered too, so a
-        phase boundary observes the same state a serial run would.
+        Chops the interval up to ``until`` into lookahead-sized windows
+        with a barrier (outbox exchange) between each.  Each window ends
+        one lookahead after the *earliest* partition clock: that
+        partition may send at its own clock, and its message must not
+        land in a receiver's past.  A driver call can leave the clocks
+        apart, and a partition already past a window's end sits that
+        window out.  After the last window any envelope due exactly at
+        ``until`` is delivered too, so a phase boundary observes the
+        same state a serial run would.
         """
         until = float(until)
         if until < self.now:
             raise ValueError(f"until={until} is in the past ({self.now})")
-        while self.now < until:
-            window_end = min(self.now + self.lookahead, until)
-            self._exchange(window_end)
-            self.now = max(window_end,
-                           max(part.clock for part in self._parts))
+        while True:
+            earliest = min(part.clock for part in self._parts)
+            if earliest >= until:
+                break
+            self._exchange(min(earliest + self.lookahead, until))
+        self.now = until
         while any(env.deliver_at <= until
                   for pending in self._pending for env in pending):
             self._exchange(until)

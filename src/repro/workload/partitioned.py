@@ -9,7 +9,7 @@ invoked via ``PartitionedSimulation.call``, with the runner's
 ``advance`` doing all time-keeping in between.
 
 :func:`build_openloop_partition` is the module-level setup entry point
-(picklable, so the process and subinterpreter backends can ship it):
+(picklable, so the process backend can ship it):
 it builds this partition's cluster slice and returns an
 :class:`OpenLoopPartitionDriver` driving Poisson open-loop tenants —
 one per *local* shard, keys pinned to that shard, with an optional
@@ -110,7 +110,7 @@ class OpenLoopPartitionDriver:
         """Connect client pools and start the arrival loops; returns
         the number of clients created.  Advances the local clock by the
         connect RPCs (local-coordinator traffic only) — the runner
-        resyncs the barrier."""
+        starts its next window from the earliest partition clock."""
         self.engine.start()
         return sum(len(t.clients) for t in self.engine.tenants)
 

@@ -75,16 +75,12 @@ def assert_all_readable(cluster, keys):
 
 
 # ---------------------------------------------------------------------------
-# the happy path, in every completion × framing mode
+# the happy path, in both framing modes
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("fast_completion, frame_coalescing",
-                         [(False, False), (True, False),
-                          (False, True), (True, True)])
-def test_partitioned_recovery_spreads_tablets(fast_completion,
-                                              frame_coalescing):
+@pytest.mark.parametrize("frame_coalescing", [False, True])
+def test_partitioned_recovery_spreads_tablets(frame_coalescing):
     cluster = partitioned_cluster(storage=storage_profile(),
-                                  fast_completion=fast_completion,
                                   frame_coalescing=frame_coalescing)
     keys = load_master(cluster, "m0", 30, unsynced=3)
     stats = run_recovery(cluster, "m0", ["m1", "m2"],

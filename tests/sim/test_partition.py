@@ -8,16 +8,18 @@ file covers the machinery itself.
 
 from __future__ import annotations
 
-import sys
+import dataclasses
 
 import pytest
 
 from repro.baselines import curp_config
+from repro.core.config import CurpConfig
 from repro.harness.builder import (
     build_cluster,
     build_partitioned_cluster,
     partition_masters,
 )
+from repro.harness.profiles import RAMCLOUD_PROFILE
 from repro.kvstore.operations import Write
 from repro.net.latency import LatencyModel
 from repro.net.mailbox import CrossPartitionMailbox, LookaheadViolation
@@ -29,12 +31,7 @@ from repro.sim.distributions import (
     Shifted,
     Uniform,
 )
-from repro.sim.partition import (
-    BackendUnavailable,
-    PartitionedSimulation,
-    available_backends,
-    subinterpreters_supported,
-)
+from repro.sim.partition import PartitionedSimulation
 from repro.sim.simulator import Simulator
 from repro.workload.partitioned import (
     build_openloop_partition,
@@ -191,27 +188,11 @@ def test_runner_rejects_backward_advance_and_bad_backend():
         psim.advance(5.0)
         with pytest.raises(ValueError):
             psim.advance(1.0)
-    with pytest.raises(ValueError):
-        PartitionedSimulation(_pair_setup, 2, backend="teleport")
+    for backend in ("teleport", "auto"):
+        with pytest.raises(ValueError):
+            PartitionedSimulation(_pair_setup, 2, backend=backend)
     with pytest.raises(ValueError):
         PartitionedSimulation(_pair_setup, 0)
-
-
-def test_subinterpreter_backend_gated_on_312():
-    assert {"inline", "process"} <= set(available_backends())
-    if sys.version_info < (3, 12):
-        assert not subinterpreters_supported()
-        with pytest.raises(BackendUnavailable):
-            PartitionedSimulation(_pair_setup, 2, backend="subinterpreter")
-    elif not subinterpreters_supported():  # pragma: no cover
-        with pytest.raises(BackendUnavailable):
-            PartitionedSimulation(_pair_setup, 2, backend="subinterpreter")
-    else:  # pragma: no cover - 3.12+ only
-        with PartitionedSimulation(_pair_setup, 2,
-                                   backend="subinterpreter") as psim:
-            psim.call_on(0, "send", "h1", "hello")
-            psim.advance(10.0)
-            assert psim.call_on(1, "got") == [(2.0, "hello")]
 
 
 def test_zero_lookahead_requires_explicit_value():
@@ -363,3 +344,65 @@ def test_process_backend_matches_inline():
                 digests)
 
     assert run("inline") == run("process")
+
+
+def _jittered_wire():
+    return Shifted(10.0, LogNormal(median=1.05, sigma=0.18))
+
+
+#: RAMCloud host costs on a jittered wire with a 10 µs floor (the
+#: lookahead): the partitions finish connecting at different instants.
+_JITTER_PROFILE = dataclasses.replace(RAMCLOUD_PROFILE, name="jittered",
+                                      latency=_jittered_wire)
+
+
+@pytest.mark.parametrize("seed", [43, 63])
+def test_windows_start_from_the_earliest_partition_clock(seed):
+    """After ``start`` the partitions' clocks differ by ~2 µs on these
+    seeds.  A window measured from the later clock lets the lagging
+    partition run past the lookahead, and its cross-partition sends
+    then land in the other partition's past (LookaheadViolation)."""
+    args = {"n_masters": 4, "seed": seed, "rate_per_shard": 200_000.0,
+            "n_clients": 4, "keys_per_shard": 64, "remote_fraction": 0.2,
+            "profile": _JITTER_PROFILE}
+    with PartitionedSimulation(build_openloop_partition, 2,
+                               setup_args=args, backend="inline") as psim:
+        psim.call("start")
+        clocks = [part.clock for part in psim._parts]
+        assert clocks[0] != clocks[1]
+        psim.advance(psim.now + 1_000.0)
+        psim.call("stop")
+        results = psim.call("results", 1_000.0)
+    assert all(r["partition"]["exported"] > 0 for r in results)
+    assert all(r["completed"] > 0 for r in results)
+
+
+@pytest.mark.parametrize("n_partitions", [2, 4])
+def test_cross_partition_ops_drain_exactly_once(n_partitions):
+    """Every partition's clients reach the same masters, so RIFL client
+    ids must be unique cluster-wide.  With no drops and no crashes every
+    RPC a master sees is new, and after a drain past the retry budget
+    every offered op has completed, failed or been dropped."""
+    args = {"n_masters": 4, "seed": 7, "rate_per_shard": 25_000.0,
+            "n_clients": 2, "keys_per_shard": 8, "remote_fraction": 0.2}
+    config = CurpConfig()
+    budget = config.max_attempts * (config.rpc_timeout
+                                    + config.retry_backoff)
+    with PartitionedSimulation(build_openloop_partition, n_partitions,
+                               setup_args=args, backend="inline") as psim:
+        psim.call("start")
+        psim.advance(psim.now + 5_000.0)
+        psim.call("stop")
+        psim.advance(psim.now + budget)
+        results = psim.call("results", 5_000.0)
+        masters = [master for part in psim._parts
+                   for master in part.driver.cluster.masters.values()]
+    assert sum(r["partition"]["exported"] for r in results) > 0
+    for result in results:
+        for name, tenant in result["per_tenant"].items():
+            assert tenant["in_flight"] + tenant["queued"] == 0, name
+            assert tenant["offered"] == (tenant["completed"]
+                                         + tenant["failed"]
+                                         + tenant["dropped"]), name
+    assert len(masters) == 4
+    assert [m.stats.duplicates_filtered for m in masters] == [0] * 4

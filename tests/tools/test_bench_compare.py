@@ -109,12 +109,12 @@ def test_improvement_passes():
 
 
 def test_missing_info_metric_is_na_not_failure():
-    """Old baselines without the op-path series must still compare."""
+    """Snapshots without an informational series must still compare."""
     rows, failures = bench_compare.compare(snapshot(), snapshot(),
                                            threshold=0.25)
     assert failures == []
     info = {row["name"]: row for row in rows if not row["gated"]}
-    assert info["curp op path f=3 ops/s"]["status"] == "n/a"
+    assert info["frame msgs/update f=3 (off)"]["status"] == "n/a"
 
 
 def test_missing_gated_metric_fails_the_gate():

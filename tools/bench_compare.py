@@ -94,10 +94,6 @@ INFO_METRICS = (
      ("event_loop", "schedule_dispatch_events_per_sec")),
     ("rpc roundtrips/s (yield)", ("rpc", "roundtrips_per_sec_yield")),
     ("fig6 smoke ops/s", ("fig6_smoke", "ops_per_sec")),
-    ("curp op path f=3 ops/s", ("curp_op_path", "f3", "ops_per_sec")),
-    ("curp op path f=3 speedup", ("curp_op_path", "f3", "speedup")),
-    ("curp op path f=3 msgs/update",
-     ("curp_op_path", "f3", "messages_per_update")),
     ("frame msgs/update f=3 (off)",
      ("frame_coalescing", "f3_spread", "messages_per_update_off")),
     ("frame message reduction f=3",

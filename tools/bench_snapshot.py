@@ -14,12 +14,8 @@ Measures, in wall-clock terms:
 - RPC round-trips/s through the full simulated stack;
 - witness-cache records/s at the paper's geometry (§5.2 comparable:
   ~1.27 M records/s on the real witness);
-- a Figure 6-shaped smoke run (one CURP f=3 closed loop, callback fast
-  path) so future PRs can see end-to-end wall-clock drift, not just
-  microbenches;
-- a ``curp_op_path`` series (ISSUE 3): committed-ops/s through the
-  full client→master→witness→sync lifecycle at f ∈ {1, 3}, fast vs
-  legacy completion, from ``benchmarks/bench_curp_op_path.py``;
+- a Figure 6-shaped smoke run (one CURP f=3 closed loop) so future
+  PRs can see end-to-end wall-clock drift, not just microbenches;
 - a ``scaleout`` series: aggregate virtual-time throughput at 1/2/4
   shards plus the batched-gc RPC reduction (ISSUE 2 acceptance
   numbers), from ``benchmarks/bench_scaleout_shards.py``;
@@ -141,14 +137,14 @@ def _scaleout() -> dict:
 
 
 def _fig6_smoke(frame_coalescing: bool = False) -> dict:
-    """One Figure 6-shaped closed loop in the hot-path configuration
-    (``fast_completion=True`` — the callback completion model).
+    """One Figure 6-shaped closed loop.
 
     Note on reading ``events_per_sec`` across the ISSUE 3 overhaul: the
-    fast path removes ~40% of the queue entries an operation used to
-    need, so wall-clock halving shows up in ``seconds`` and
-    ``ops_per_sec`` while events/s moves much less.  The metric is kept
-    (and CI-gated) because it still catches per-entry cost regressions.
+    callback completion path removes ~40% of the queue entries an
+    operation used to need, so wall-clock halving shows up in
+    ``seconds`` and ``ops_per_sec`` while events/s moves much less.
+    The metric is kept (and CI-gated) because it still catches
+    per-entry cost regressions.
 
     ``frame_coalescing=True`` runs the identical workload with the
     ISSUE 4 frame layer on: a closed loop offers almost nothing to
@@ -166,7 +162,7 @@ def _fig6_smoke(frame_coalescing: bool = False) -> dict:
 
     import gc
 
-    config = dataclasses.replace(curp_config(3), fast_completion=True,
+    config = dataclasses.replace(curp_config(3),
                                  frame_coalescing=frame_coalescing)
     gc.collect()
     started = time.perf_counter()
@@ -345,17 +341,6 @@ def _transactions() -> dict:
     }
 
 
-def _curp_op_path(scale: float) -> dict:
-    """Committed-ops/s through the full operation lifecycle (ISSUE 3
-    acceptance series), from benchmarks/bench_curp_op_path.py."""
-    from benchmarks.bench_curp_op_path import op_path_series
-
-    started = time.perf_counter()
-    series = op_path_series(scale=scale)
-    series["seconds"] = round(time.perf_counter() - started, 3)
-    return series
-
-
 def snapshot(scale: float = 1.0) -> dict:
     n_events = int(400_000 * scale)
     n_calls = int(20_000 * scale)
@@ -404,7 +389,6 @@ def snapshot(scale: float = 1.0) -> dict:
         "fig6_smoke": _fig6_smoke(),
         "fig6_smoke_coalesced": _fig6_smoke(frame_coalescing=True),
         "frame_coalescing": frame_series,
-        "curp_op_path": _curp_op_path(scale),
         "scaleout": _scaleout(),
         "rebalance": _rebalance(),
         "overload": _overload(scale),
